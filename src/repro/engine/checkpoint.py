@@ -452,6 +452,7 @@ class DurableScan:
             if r.mode is not CompiledMode.LNFA
         }
         self._bins: dict[tuple[int, int], BinActivityCollector] = {}
+        placements: dict[int, int] = {}
         for index, array in enumerate(mapping.arrays):
             if array.mode is not TileMode.LNFA:
                 continue
@@ -459,6 +460,16 @@ class DurableScan:
                 self._bins[(index, bin_index)] = BinActivityCollector(
                     bin_obj, hw
                 )
+                for item in bin_obj.items:
+                    rid = item.regex_id
+                    placements[rid] = placements.get(rid, 0) + 1
+        # LNFA regexes whose union members sit in more than one place
+        # (several bins, or twice in one bin) report through several
+        # lists that may share end positions; their match lists are
+        # merged incrementally (see _merge_new_matches).
+        self._merged_rids = {
+            rid for rid, count in placements.items() if count > 1
+        }
         # On the fused backend all LNFA bins step through one lane-packed
         # machine per segment.  The feeder is stateless between feeds (it
         # reads and writes the collectors' KernelState), so snapshot and
@@ -491,6 +502,7 @@ class DurableScan:
         self._detached = False
         self._shed: set[tuple] = set()
         self.quarantine_entries: list[QuarantineEntry] = []
+        self._link_match_lists()
 
     @property
     def offset(self) -> int:
@@ -503,20 +515,55 @@ class DurableScan:
         return len(self._regex) + len(self._bins) - len(self._shed)
 
     def match_lists(self) -> dict[int, list[int]]:
-        """Per-regex match end positions consumed so far.
+        """Per-regex match end positions consumed so far: sorted,
+        without duplicates, the same lists a bulk scan reports.
 
-        The returned lists are the collectors' live, append-only
-        containers — callers slice them for incremental event emission
-        (the streaming service diffs against a per-regex emitted count
-        every segment) and must not mutate them.
+        The returned lists are live, append-only containers — callers
+        slice them for incremental event emission (the streaming service
+        diffs against a per-regex emitted count every segment) and must
+        not mutate them.
         """
-        out: dict[int, list[int]] = {}
-        for rid, collector in self._regex.items():
-            out[rid] = collector.matches
+        return dict(self._match_lists)
+
+    def _link_match_lists(self) -> None:
+        """Point :meth:`match_lists` at the collectors' current lists
+        (after construction and after every restore) and rebuild the
+        merged lists of multiply placed LNFA regexes from scratch."""
+        out: dict[int, list[int]] = {
+            rid: collector.matches for rid, collector in self._regex.items()
+        }
+        sources: dict[int, list[list[int]]] = {}
         for collector in self._bins.values():
             for rid, ends in collector.matches.items():
-                out[rid] = ends
-        return out
+                if rid in self._merged_rids:
+                    sources.setdefault(rid, []).append(ends)
+                else:
+                    out[rid] = ends
+        for rid in sources:
+            out[rid] = []
+        self._match_lists = out
+        # (regex id, its source lists, how much of each is merged)
+        self._merge_sources = [
+            (rid, lists, [0] * len(lists))
+            for rid, lists in sorted(sources.items())
+        ]
+        self._merge_new_matches()
+
+    def _merge_new_matches(self) -> None:
+        """Append the ends the sources gained since the last merge.
+
+        Every end a feed adds lies past every end merged before it, so
+        merging only the new tails keeps each list sorted and unique at
+        O(new matches) per feed.
+        """
+        for rid, lists, merged in self._merge_sources:
+            fresh: set[int] = set()
+            for k, ends in enumerate(lists):
+                if len(ends) > merged[k]:
+                    fresh.update(ends[merged[k] :])
+                    merged[k] = len(ends)
+            if fresh:
+                self._match_lists[rid].extend(sorted(fresh))
 
     def feed(self, segment: bytes, *, at_end: bool = True) -> None:
         """Consume the next segment of the stream on every live unit."""
@@ -534,6 +581,7 @@ class DurableScan:
             for (index, bin_index), collector in self._bins.items():
                 if ("bin", index, bin_index) not in self._shed:
                     collector.feed(segment, at_end=at_end)
+        self._merge_new_matches()
         self._offset += len(segment)
         self._hasher.update(segment)
 
@@ -638,6 +686,7 @@ class DurableScan:
             self._regex[rid].restore(sub)
         for key, sub in bin_docs.items():
             self._bins[key].restore(sub)
+        self._link_match_lists()
 
     def restore(self, doc: dict, data: bytes) -> None:
         """Adopt a snapshot, verifying it belongs to *this* scan.

@@ -187,9 +187,23 @@ def _pool_round(
         futures = []
         for i in pending:
             payload = (fn, i, attempts[i], items[i])
+            try:
+                future = pool.submit(_call_unit, payload)
+            except BrokenProcessPool:
+                # A worker died while this round was still submitting;
+                # the unit never ran, so it costs no attempt.
+                degraded = True
+                outcomes[i].error = WorkerCrashError(
+                    f"worker pool broke before unit {i} was submitted",
+                    unit=i,
+                    attempts=attempts[i],
+                    phase="execute",
+                )
+                retry.append(i)
+                continue
             attempts[i] += 1
             outcomes[i].attempts += 1
-            futures.append((i, pool.submit(_call_unit, payload)))
+            futures.append((i, future))
         for i, future in futures:
             try:
                 result = future.result(timeout=cfg.timeout)

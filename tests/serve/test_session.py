@@ -7,9 +7,12 @@ hot-reload swap prices each epoch under the ruleset that scanned it.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.core.native import native_available
+from repro.core.registry import use_backend
 from repro.engine.checkpoint import CheckpointStore, DurableScan
 from repro.errors import CheckpointError
 from repro.serve.registry import TenantRegistry
@@ -190,3 +193,78 @@ class TestHotReload:
         assert session.total_matches() == matches_a + matches_b
         assert session.total_energy_uj() == energy_a + energy_b
         assert len(events) == matches_a + matches_b
+
+
+# LNFA union members spread over several bins (bin size 1), and two
+# members of one regex ending on the same byte ("ab|b"): a regex's
+# matches arrive through several bin lists that share end positions.
+SPREAD_PATTERNS = ["ab|b|cab", "xyz", "q(?:rs|s)t", "end$", "a.c"]
+SPREAD_DATA = b"cabxyzqrstqstab abc end" * 40 + b"xyzend"
+SPREAD_BACKENDS = [
+    "python",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native_available(), reason="native backend unavailable"
+        ),
+    ),
+]
+
+
+class TestMatchListsEqualBulk:
+    """DurableScan.match_lists and the served events report exactly the
+    matches of a bulk scan, however the regex's members are binned."""
+
+    @pytest.mark.parametrize("backend", SPREAD_BACKENDS)
+    @pytest.mark.parametrize("bin_size", [None, 1])
+    def test_durable_and_served_matches_equal_bulk(
+        self, backend, bin_size, tmp_path
+    ):
+        with use_backend(backend):
+            registry = TenantRegistry(bin_size=bin_size)
+            entry = entry_for(registry, SPREAD_PATTERNS)
+            bulk = RAPSimulator(registry.hw).run(
+                entry.ruleset, SPREAD_DATA, entry.mapping
+            )
+            want = {
+                rid: ends for rid, ends in bulk.matches.items() if ends
+            }
+            placements = Counter(
+                item.regex_id
+                for array in entry.mapping.arrays
+                for bin_obj in array.bins
+                for item in bin_obj.items
+            )
+            assert max(placements.values()) > 1
+
+            scan = DurableScan(
+                entry.ruleset, entry.mapping, registry.hw, bin_size=bin_size
+            )
+            cut = len(SPREAD_DATA) // 3
+            scan.feed(SPREAD_DATA[:cut], at_end=False)
+            resumed = DurableScan(
+                entry.ruleset, entry.mapping, registry.hw, bin_size=bin_size
+            )
+            resumed.restore(scan.snapshot(), SPREAD_DATA)
+            for at in range(cut, len(SPREAD_DATA), 97):
+                chunk = SPREAD_DATA[at : at + 97]
+                resumed.feed(chunk, at_end=at + 97 >= len(SPREAD_DATA))
+            got = {
+                rid: ends
+                for rid, ends in resumed.match_lists().items()
+                if ends
+            }
+            assert got == want
+
+            store = CheckpointStore(tmp_path / "ck", session="t/s")
+            session = ScanSession("t", "s", entry, store, registry.hw)
+            events = []
+            for at in range(0, len(SPREAD_DATA), 211):
+                events.extend(session.feed(SPREAD_DATA[at : at + 211]))
+            events.extend(session.end())
+        served = sorted((end, rid) for end, rid in events)
+        expected = sorted(
+            (end, rid) for rid, ends in want.items() for end in ends
+        )
+        assert served == expected
+        assert session.total_matches() == len(expected)
